@@ -4,9 +4,9 @@ from .diophantine import (BudgetExceededError, SkolemBasis, cp2_solvable,
                           d_s2xs2, d_s4, gcd_seq, jones_solvable,
                           l_coefficients, quad_value, reduced_k, skolem_basis)
 from .labels import (HasseDiagram, HoweLabel, LabelError,
-                     TransitiveReductionError, canonicalize, descendants,
-                     direct_successors, dual, enumerate_labels, format_label,
-                     hasse_diagram, leq, merge, parse_label, split)
+                     TransitiveReductionError, canonicalize, covering_relation,
+                     descendants, direct_successors, dual, enumerate_labels,
+                     format_label, hasse_diagram, leq, merge, parse_label, split)
 from .strata import (BundleSpec, Manifold, StratumAnnotation, annotate,
                      orbit_types, stratification_graph, type_count)
 
@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExceededError", "BundleSpec", "HasseDiagram", "HoweLabel",
     "LabelError", "Manifold", "SkolemBasis", "StratumAnnotation",
-    "TransitiveReductionError", "annotate", "canonicalize", "cp2_solvable",
-    "d_s2xs2", "d_s4", "descendants", "direct_successors", "dual",
-    "enumerate_labels", "format_label", "gcd_seq", "hasse_diagram",
+    "TransitiveReductionError", "annotate", "canonicalize", "covering_relation",
+    "cp2_solvable", "d_s2xs2", "d_s4", "descendants", "direct_successors",
+    "dual", "enumerate_labels", "format_label", "gcd_seq", "hasse_diagram",
     "jones_solvable", "l_coefficients", "leq", "merge", "orbit_types",
     "parse_label", "quad_value", "reduced_k", "skolem_basis", "split",
     "stratification_graph", "type_count",

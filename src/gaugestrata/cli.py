@@ -10,9 +10,9 @@ import json
 import sys
 
 from . import diophantine as dio
-from .labels import (HasseDiagram, LabelError, enumerate_labels, format_label,
-                     hasse_diagram, parse_label)
-from .strata import BundleSpec, Manifold, annotate, orbit_types, stratification_graph
+from .labels import (HasseDiagram, LabelError, covering_relation, enumerate_labels,
+                     format_label, hasse_diagram, parse_label)
+from .strata import BundleSpec, Manifold, annotate, orbit_types
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,15 +120,14 @@ def cmd_strata(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         annotations = [annotate(label, manifold, spec.c2)]
-        edges = []
     else:
         annotations = orbit_types(spec)
-        edges = stratification_graph(spec).sorted_edges()
+    present = {ann.label for ann in annotations if ann.present}
+    edges = [] if args.only is not None else covering_relation(spec.n, present).sorted_edges()
     if args.format == "json":
         print(_emit_json(_strata_doc(spec, annotations, edges)))
         return EXIT_OK
     if args.format == "dot":
-        present = {ann.label for ann in annotations if ann.present}
         diagram = HasseDiagram(n=spec.n,
                                nodes=frozenset(ann.label for ann in annotations),
                                edges=frozenset(edges))

@@ -40,9 +40,11 @@ class BudgetExceededError(RuntimeError):
 
 
 def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
+    if budget is None:
+        budget = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
+    if not str(budget).strip().isdecimal() or int(budget) < 1:
+        raise ValueError(f"budget ({BUDGET_ENV_VAR}) must be a positive integer, got {budget!r}")
+    return int(budget)
 
 
 def gcd_seq(seq) -> int:

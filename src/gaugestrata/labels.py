@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
+from operator import or_
 
 
 class LabelError(ValueError):
@@ -179,15 +180,10 @@ def direct_successors(label: HoweLabel) -> frozenset[HoweLabel]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def descendants(label: HoweLabel) -> frozenset[HoweLabel]:
-    """All labels strictly above `label`. The successor graph is acyclic
-    (sum(k_i^2) strictly increases along edges), so plain recursion is safe."""
-    out: set[HoweLabel] = set()
-    for succ in direct_successors(label):
-        out.add(succ)
-        out |= descendants(succ)
-    return frozenset(out)
+    """All labels strictly above `label`."""
+    labels, pos, up = _order_index(label.n)
+    return frozenset(labels[i] for i in _bits(up[pos[label]]))
 
 
 def leq(a: HoweLabel, b: HoweLabel) -> bool:
@@ -219,26 +215,44 @@ class TransitiveReductionError(RuntimeError):
     """The covering relation implied an edge by a longer path."""
 
 
-def _check_reduced(edges: frozenset[tuple[HoweLabel, HoweLabel]],
-                   succ_of) -> None:
-    # An edge (u, v) is redundant iff v is reachable from some other
-    # successor of u. Flag rather than silently reduce.
-    for u, v in edges:
-        for w in succ_of(u):
-            if w != v and v in descendants(w):
-                raise TransitiveReductionError(
-                    f"edge {format_label(u)} -> {format_label(v)} is implied "
-                    f"by a path through {format_label(w)}")
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _order_index(n: int) -> tuple[list[HoweLabel], dict[HoweLabel, int], list[int]]:
+    """Labels of total n, their positions, and each label's up-set as a bitmask.
+    Labels are visited in decreasing sum(k_i^2), which strictly increases along
+    successor edges; a successor also reachable through another one raises."""
+    labels = enumerate_labels(n)
+    pos = {label: i for i, label in enumerate(labels)}
+    up = [0] * len(labels)
+    for label in sorted(labels, key=lambda j: sum(ki * ki for ki in j.k), reverse=True):
+        succ = [pos[s] for s in direct_successors(label)]
+        succ_mask = sum(1 << i for i in succ)
+        implied = reduce(or_, (up[i] for i in succ), 0)
+        if succ_mask & implied:
+            raise TransitiveReductionError(f"{format_label(label)} has an implied successor")
+        up[pos[label]] = succ_mask | implied
+    return labels, pos, up
+
+
+def covering_relation(n: int, nodes) -> HasseDiagram:
+    """Covering relation of the label order on `nodes`, labels of total n:
+    (a, b) is an edge iff a < b and no node lies strictly between."""
+    labels, pos, up = _order_index(n)
+    nodes = frozenset(nodes)
+    node_mask = sum(1 << pos[a] for a in nodes)
+    edges = set()
+    for a in nodes:
+        above = up[pos[a]] & node_mask
+        implied = reduce(or_, (up[i] for i in _bits(above)), 0)
+        edges.update((a, labels[i]) for i in _bits(above & ~implied))
+    return HasseDiagram(n=n, nodes=nodes, edges=frozenset(edges))
 
 
 def hasse_diagram(n: int) -> HasseDiagram:
-    """Hasse diagram of all labels with total n.
-
-    The successor calculus is expected to produce the covering relation
-    directly; a transitive-reduction check guards against that assumption
-    failing.
-    """
-    nodes = enumerate_labels(n)
-    edges = frozenset((a, b) for a in nodes for b in direct_successors(a))
-    _check_reduced(edges, direct_successors)
-    return HasseDiagram(n=n, nodes=frozenset(nodes), edges=edges)
+    """Hasse diagram of all labels with total n."""
+    return covering_relation(n, enumerate_labels(n))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import diophantine as dio
-from .labels import HasseDiagram, HoweLabel, descendants, enumerate_labels
+from .labels import HasseDiagram, HoweLabel, covering_relation, enumerate_labels
 
 
 class Manifold(str, Enum):
@@ -98,21 +98,6 @@ def type_count(spec: BundleSpec, budget: int | None = None) -> int:
 
 
 def stratification_graph(spec: BundleSpec, budget: int | None = None) -> HasseDiagram:
-    """Covering relation of the induced order on the present labels.
-
-    Presence is not monotone in the subgroup order, so the covering
-    relation is recomputed on the subset: (J, J') is an edge iff J < J'
-    and no present label lies strictly between.
-    """
+    """Covering relation of the induced order on the present labels."""
     present = [ann.label for ann in orbit_types(spec, budget=budget) if ann.present]
-    edges = set()
-    for a in present:
-        above = descendants(a)
-        for b in present:
-            if b not in above:
-                continue
-            if any(x != a and x != b and x in above and b in descendants(x)
-                   for x in present):
-                continue
-            edges.add((a, b))
-    return HasseDiagram(n=spec.n, nodes=frozenset(present), edges=frozenset(edges))
+    return covering_relation(spec.n, present)

@@ -140,6 +140,13 @@ class TestStrata:
         assert code == 3
         assert "(2 2|2 2)" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5", "abc", "1e3"])
+    def test_bad_budget_exit_2(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("STRATA_BUDGET", budget)
+        code, _, err = run(capsys, "check", "(2 2|2 1)", "cp2", "-3")
+        assert code == 2
+        assert "STRATA_BUDGET" in err and repr(budget) in err
+
 
 class TestCheck:
     def test_worked_example(self, capsys):

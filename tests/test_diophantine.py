@@ -246,6 +246,10 @@ class TestCP2Solvable:
             cp2_solvable(j, 5, budget=10)
         assert "(30 30 30 30|2 2 2 2)" in str(err.value)
 
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            cp2_solvable(L((2, 2), (2, 2)), 4, budget=0)
+
     def test_budget_env_override(self, monkeypatch):
         j = L((2, 2), (2, 2))  # needs 2 iterations
         monkeypatch.setenv("STRATA_BUDGET", "1")

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugestrata.labels import (HoweLabel, LabelError, canonicalize,
-                                descendants, direct_successors, dual,
-                                enumerate_labels, format_label, hasse_diagram,
-                                leq, merge, parse_label, split)
+from gaugestrata import labels as labels_module
+from gaugestrata.labels import (HoweLabel, LabelError, TransitiveReductionError,
+                                canonicalize, descendants, direct_successors,
+                                dual, enumerate_labels, format_label,
+                                hasse_diagram, leq, merge, parse_label, split)
 
 
 def L(k, m):
@@ -189,6 +190,20 @@ class TestHasse:
                         stack.append(y)
             assert b not in seen, f"edge {a} -> {b} is redundant"
             adj[a].add(b)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_edges_are_splits_and_merges(self, n):
+        # The split/merge successors are exactly the covering relation.
+        labels = enumerate_labels(n)
+        assert hasse_diagram(n).edges == {(a, s) for a in labels for s in direct_successors(a)}
+
+    def test_implied_edge_raises(self, monkeypatch):
+        bottom, top = L((1,), (4,)), L((4,), (1,))
+        plain = labels_module.direct_successors
+        monkeypatch.setattr(labels_module, "direct_successors",
+                            lambda j: plain(j) | {top} if j == bottom else plain(j))
+        with pytest.raises(TransitiveReductionError, match=r"\(1\|4\)"):
+            hasse_diagram(4)
 
     def test_edges_within_nodes(self):
         d = hasse_diagram(5)

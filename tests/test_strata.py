@@ -1,13 +1,24 @@
 import pytest
 
 from gaugestrata.diophantine import d_s2xs2, d_s4
-from gaugestrata.labels import canonicalize, leq
+from gaugestrata.labels import canonicalize, direct_successors, leq
 from gaugestrata.strata import (BundleSpec, Manifold, orbit_types,
                                 stratification_graph, type_count)
 
 
 def L(k, m):
     return canonicalize(k, m)
+
+
+def reachable(a):
+    """Labels strictly above `a`, by search over the successor calculus."""
+    seen, stack = set(), [a]
+    while stack:
+        for s in direct_successors(stack.pop()):
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return seen
 
 
 def present_set(spec):
@@ -105,20 +116,26 @@ class TestStratificationGraph:
         assert g.nodes == {L((1,), (2,))}
         assert g.edges == frozenset()
 
-    def test_covering_of_induced_order(self):
-        # Oracle: recompute the covering relation from leq on the subset.
-        spec = BundleSpec(n=4, manifold=Manifold.S4, c2=2)
-        g = stratification_graph(spec)
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("manifold,c2", [
+        (m, c) for m in (Manifold.S4, Manifold.S2XS2, Manifold.T4, Manifold.CP2)
+        for c in (0, -5, 6, -200)] + [(Manifold.S4, 2), (Manifold.DIM2, 0), (Manifold.DIM3, 0)])
+    def test_covering_of_induced_order(self, n, manifold, c2):
+        # Oracle: recompute the covering relation on the subset from
+        # reachability over direct_successors, not from the bitset index.
+        g = stratification_graph(BundleSpec(n=n, manifold=manifold, c2=c2))
         present = sorted(g.nodes)
+        above = {a: reachable(a) for a in present}
         expected = set()
         for a in present:
             for b in present:
-                if a == b or not leq(a, b):
+                if b not in above[a]:
                     continue
-                if any(x not in (a, b) and leq(a, x) and leq(x, b) for x in present):
+                if any(x in above[a] and b in above[x] for x in present):
                     continue
                 expected.add((a, b))
         assert g.edges == expected
+        assert all(leq(a, b) for a, b in g.edges)
 
     @pytest.mark.parametrize("c2", [-4, 2, 6])
     def test_acyclic_and_reduced(self, c2):
