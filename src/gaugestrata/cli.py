@@ -10,8 +10,8 @@ import json
 import sys
 
 from . import diophantine as dio
-from .labels import (HasseDiagram, LabelError, covering_relation, enumerate_labels,
-                     format_label, hasse_diagram, parse_label)
+from .labels import (LabelError, covering_relation, enumerate_labels, format_label,
+                     hasse_diagram, parse_label)
 from .strata import BundleSpec, Manifold, annotate, orbit_types
 
 EXIT_OK = 0
@@ -25,10 +25,6 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def _emit_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False)
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -36,78 +32,56 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _render_hasse_dot(diagram: HasseDiagram, annotate_nodes: bool,
-                      present=None) -> str:
-    lines = ["digraph howe {", "  rankdir=LR;"]
-    for node in diagram.sorted_nodes():
-        name = format_label(node)
-        attrs = []
-        if annotate_nodes:
-            attrs.append(f'label="{name}\\n{dio.d_s4(node)}/{dio.d_s2xs2(node)}"')
-        if present is not None and node not in present:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightgray")
-            attrs.append("fontcolor=gray40")
-        suffix = " [" + ", ".join(attrs) + "]" if attrs else ""
-        lines.append(f"  {_dot_quote(name)}{suffix};")
-    for a, b in diagram.sorted_edges():
-        lines.append(f"  {_dot_quote(format_label(a))} -> {_dot_quote(format_label(b))};")
-    lines.append("}")
+def _render(doc: dict, rows: list[dict], fmt: str, annotate: bool) -> str:
+    """A `hasse` or `strata` document as text, JSON or dot. `rows` are its
+    nodes; text shows every field a row has, dot shows the divisors only
+    with `annotate` and grays a row whose "present" is False."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2)
+    if fmt == "dot":
+        lines = ["digraph howe {", "  rankdir=LR;"]
+        for row in rows:
+            attrs = [f'label="{row["label"]}\\n{row["d_s4"]}/{row["d_s2xs2"]}"'] if annotate else []
+            if row.get("present") is False:
+                attrs += ["style=filled", "fillcolor=lightgray", "fontcolor=gray40"]
+            suffix = " [" + ", ".join(attrs) + "]" if attrs else ""
+            lines.append(f"  {_dot_quote(row['label'])}{suffix};")
+        lines += [f"  {_dot_quote(a)} -> {_dot_quote(b)};" for a, b in doc["edges"]]
+        return "\n".join(lines + ["}"])
+    lines = [f"n={doc['n']} manifold={doc['manifold']} c2={doc['c2']}"] if "manifold" in doc else []
+    for row in rows:
+        cells = [row["label"]]
+        if "d_s4" in row:
+            cells.append(f"{row['d_s4']}/{row['d_s2xs2']}")
+        if "present" in row:
+            cells += ["present" if row["present"] else "absent", f"[{row['criterion']}]"]
+        lines.append("  ".join(cells))
+    lines += [f"{a} -> {b}" for a, b in doc["edges"]]
     return "\n".join(lines)
 
 
+def _edges(diagram) -> list[list[str]]:
+    return [[format_label(a), format_label(b)] for a, b in diagram.sorted_edges()]
+
+
 def cmd_enumerate(args) -> int:
-    labels = [format_label(j) for j in enumerate_labels(args.n)]
-    if args.format == "json":
-        print(_emit_json(labels))
-    elif args.format == "dot":
+    if args.format == "dot":
         print("error: dot output requires a diagram command", file=sys.stderr)
         return EXIT_USAGE
-    else:
-        for line in labels:
-            print(line)
+    labels = [format_label(j) for j in enumerate_labels(args.n)]
+    print(json.dumps(labels, indent=2) if args.format == "json" else "\n".join(labels))
     return EXIT_OK
 
 
 def cmd_hasse(args) -> int:
     diagram = hasse_diagram(args.n)
-    if args.format == "dot":
-        print(_render_hasse_dot(diagram, args.annotate))
-        return EXIT_OK
-    if args.format == "json":
-        if args.annotate:
-            nodes = [{"label": format_label(j), "d_s4": dio.d_s4(j),
-                      "d_s2xs2": dio.d_s2xs2(j)} for j in diagram.sorted_nodes()]
-        else:
-            nodes = [format_label(j) for j in diagram.sorted_nodes()]
-        doc = {"n": diagram.n, "nodes": nodes,
-               "edges": [[format_label(a), format_label(b)]
-                         for a, b in diagram.sorted_edges()]}
-        print(_emit_json(doc))
-        return EXIT_OK
-    for node in diagram.sorted_nodes():
-        if args.annotate:
-            print(f"{format_label(node)}  {dio.d_s4(node)}/{dio.d_s2xs2(node)}")
-        else:
-            print(format_label(node))
-    for a, b in diagram.sorted_edges():
-        print(f"{format_label(a)} -> {format_label(b)}")
+    rows = [{"label": format_label(j), "d_s4": dio.d_s4(j), "d_s2xs2": dio.d_s2xs2(j)}
+            if args.annotate else {"label": format_label(j)}
+            for j in diagram.sorted_nodes()]
+    nodes = rows if args.annotate else [row["label"] for row in rows]
+    doc = {"n": diagram.n, "nodes": nodes, "edges": _edges(diagram)}
+    print(_render(doc, rows, args.format, args.annotate))
     return EXIT_OK
-
-
-def _strata_doc(spec: BundleSpec, annotations, edges) -> dict:
-    return {
-        "n": spec.n,
-        "manifold": spec.manifold.value,
-        "c2": spec.c2,
-        "types": [
-            {"label": format_label(ann.label), "d_s4": ann.d_s4,
-             "d_s2xs2": ann.d_s2xs2, "present": ann.present,
-             "criterion": ann.criterion}
-            for ann in annotations
-        ],
-        "edges": [[format_label(a), format_label(b)] for a, b in edges],
-    }
 
 
 def cmd_strata(args) -> int:
@@ -116,35 +90,24 @@ def cmd_strata(args) -> int:
     if args.only is not None:
         label = parse_label(args.only)
         if label.n != args.n:
-            print(f"error: label {args.only} has total {label.n}, expected {args.n}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise LabelError(f"label {args.only} has total {label.n}, expected {args.n}")
         annotations = [annotate(label, manifold, spec.c2)]
+        edges = []
     else:
         annotations = orbit_types(spec)
-    present = {ann.label for ann in annotations if ann.present}
-    edges = [] if args.only is not None else covering_relation(spec.n, present).sorted_edges()
-    if args.format == "json":
-        print(_emit_json(_strata_doc(spec, annotations, edges)))
-        return EXIT_OK
-    if args.format == "dot":
-        diagram = HasseDiagram(n=spec.n,
-                               nodes=frozenset(ann.label for ann in annotations),
-                               edges=frozenset(edges))
-        print(_render_hasse_dot(diagram, args.annotate, present=present))
-        return EXIT_OK
-    print(f"n={spec.n} manifold={spec.manifold.value} c2={spec.c2}")
-    for ann in annotations:
-        mark = "present" if ann.present else "absent"
-        print(f"{format_label(ann.label)}  {ann.d_s4}/{ann.d_s2xs2}  {mark}  [{ann.criterion}]")
-    for a, b in edges:
-        print(f"{format_label(a)} -> {format_label(b)}")
+        edges = _edges(covering_relation(spec.n, [a.label for a in annotations if a.present]))
+    rows = [{"label": format_label(a.label), "d_s4": a.d_s4, "d_s2xs2": a.d_s2xs2,
+             "present": a.present, "criterion": a.criterion} for a in annotations]
+    doc = {"n": spec.n, "manifold": manifold.value, "c2": spec.c2, "types": rows,
+           "edges": edges}
+    print(_render(doc, rows, args.format, args.annotate))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     label = parse_label(args.label)
     manifold = Manifold(args.manifold)
+    BundleSpec.check_c2(manifold, args.c2)
     ann = annotate(label, manifold, args.c2)
     g = dio.gcd_seq(label.k)
     gcd_l = dio.gcd_seq(dio.l_coefficients(label))
@@ -203,6 +166,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        dio._resolve_budget(None)
         return args.func(args)
     except dio.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

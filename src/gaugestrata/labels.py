@@ -244,6 +244,9 @@ def covering_relation(n: int, nodes) -> HasseDiagram:
     (a, b) is an edge iff a < b and no node lies strictly between."""
     labels, pos, up = _order_index(n)
     nodes = frozenset(nodes)
+    for a in nodes:
+        if a.n != n:
+            raise LabelError(f"label {format_label(a)} has total {a.n}, expected {n}")
     node_mask = sum(1 << pos[a] for a in nodes)
     edges = set()
     for a in nodes:

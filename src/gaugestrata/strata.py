@@ -24,16 +24,6 @@ class Manifold(str, Enum):
     DIM3 = "dim3"
 
 
-_CRITERION = {
-    Manifold.S4: "linear-gcd",
-    Manifold.S2XS2: "bilinear-gcd",
-    Manifold.T4: "bilinear-gcd",
-    Manifold.CP2: "quadratic-oracle",
-    Manifold.DIM2: "dim<4-trivial",
-    Manifold.DIM3: "dim<4-trivial",
-}
-
-
 @dataclass(frozen=True)
 class BundleSpec:
     """A principal SU(n)-bundle over one of the supported base manifolds.
@@ -50,9 +40,13 @@ class BundleSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        if self.manifold in (Manifold.DIM2, Manifold.DIM3) and self.c2 != 0:
-            raise ValueError(
-                f"bundles over {self.manifold.value} are trivial; c2 must be 0, got {self.c2}")
+        self.check_c2(self.manifold, self.c2)
+
+    @staticmethod
+    def check_c2(manifold: Manifold, c2: int) -> None:
+        """Refuse c2 != 0 over a dim-2/3 base, where every bundle is trivial."""
+        if manifold in (Manifold.DIM2, Manifold.DIM3) and c2 != 0:
+            raise ValueError(f"bundles over {manifold.value} are trivial; c2 must be 0, got {c2}")
 
 
 @dataclass(frozen=True)
@@ -69,21 +63,28 @@ def _divides(d: int, c: int) -> bool:
     return c == 0 if d == 0 else c % d == 0
 
 
+# Manifold -> (criterion name, presence test of label, d_S4, d_S2xS2, c2, budget).
+# The CP^2 test looks dio.cp2_solvable up at call time, so a rebound module
+# attribute (a tracer's wrapper, say) is the one that runs.
+_CRITERIA = {
+    Manifold.S4: ("linear-gcd", lambda j, ds4, ds2, c2, budget: _divides(ds4, c2)),
+    Manifold.S2XS2: ("bilinear-gcd", lambda j, ds4, ds2, c2, budget: _divides(ds2, c2)),
+    Manifold.T4: ("bilinear-gcd", lambda j, ds4, ds2, c2, budget: _divides(ds2, c2)),
+    Manifold.CP2: ("quadratic-oracle",
+                   lambda j, ds4, ds2, c2, budget: dio.cp2_solvable(j, c2, budget=budget)),
+    Manifold.DIM2: ("dim<4-trivial", lambda *_: True),
+    Manifold.DIM3: ("dim<4-trivial", lambda *_: True),
+}
+
+
 def annotate(label: HoweLabel, manifold: Manifold, c2: int,
              budget: int | None = None) -> StratumAnnotation:
     """Presence verdict plus divisor data for a single label."""
-    ds4 = dio.d_s4(label)
-    ds2 = dio.d_s2xs2(label)
-    if manifold in (Manifold.DIM2, Manifold.DIM3):
-        present = True
-    elif manifold is Manifold.S4:
-        present = _divides(ds4, c2)
-    elif manifold in (Manifold.S2XS2, Manifold.T4):
-        present = _divides(ds2, c2)
-    else:
-        present = dio.cp2_solvable(label, c2, budget=budget)
+    ds4, ds2 = dio.d_s4(label), dio.d_s2xs2(label)
+    criterion, present = _CRITERIA[manifold]
     return StratumAnnotation(label=label, d_s4=ds4, d_s2xs2=ds2,
-                             present=present, criterion=_CRITERION[manifold])
+                             present=present(label, ds4, ds2, c2, budget),
+                             criterion=criterion)
 
 
 def orbit_types(spec: BundleSpec, budget: int | None = None) -> list[StratumAnnotation]:

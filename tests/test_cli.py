@@ -82,6 +82,19 @@ class TestHasse:
         assert len(doc["nodes"]) == 11
 
 
+# Every command refuses a bad STRATA_BUDGET, not only the modular CP^2
+# search ("" below); the other argvs never reach that search.
+BUDGET_ARGVS = {
+    "": ["check", "(2 2|2 1)", "cp2", "-3"],
+    "cp2-box": ["check", "(1 1|1 1)", "cp2", "-3"],
+    "check-s4": ["check", "(1|2)", "s4", "7"],
+    "hasse": ["hasse", "3"],
+    "enumerate": ["enumerate", "3"],
+    "strata-s2xs2": ["strata", "--n", "3", "--manifold", "s2xs2", "--c2", "6"],
+    "strata-dim3": ["strata", "--n", "3", "--manifold", "dim3", "--format", "dot"],
+}
+
+
 class TestStrata:
     def test_cp2_n3_text(self, capsys):
         code, out, _ = run(capsys, "strata", "--n", "3", "--manifold", "cp2",
@@ -140,10 +153,12 @@ class TestStrata:
         assert code == 3
         assert "(2 2|2 2)" in err
 
-    @pytest.mark.parametrize("budget", ["0", "-5", "abc", "1e3"])
-    def test_bad_budget_exit_2(self, capsys, monkeypatch, budget):
+    @pytest.mark.parametrize("budget,argv", [
+        pytest.param(budget, argv, id=f"{budget}-{name}" if name else budget)
+        for name, argv in BUDGET_ARGVS.items() for budget in ["0", "-5", "abc", "1e3"]])
+    def test_bad_budget_exit_2(self, capsys, monkeypatch, budget, argv):
         monkeypatch.setenv("STRATA_BUDGET", budget)
-        code, _, err = run(capsys, "check", "(2 2|2 1)", "cp2", "-3")
+        code, _, err = run(capsys, *argv)
         assert code == 2
         assert "STRATA_BUDGET" in err and repr(budget) in err
 
@@ -165,6 +180,15 @@ class TestCheck:
 
     def test_zero_divides_zero(self, capsys):
         code, out, _ = run(capsys, "check", "(2|1)", "s4", "0")
+        assert code == 0
+        assert out.strip().endswith("yes")
+
+    @pytest.mark.parametrize("manifold", ["dim2", "dim3"])
+    def test_low_dim_refuses_nontrivial(self, capsys, manifold):
+        code, out, err = run(capsys, "check", "(1|2)", manifold, "5")
+        assert code == 2 and out == ""
+        assert f"bundles over {manifold} are trivial; c2 must be 0" in err
+        code, out, _ = run(capsys, "check", "(1|1)", manifold, "0")
         assert code == 0
         assert out.strip().endswith("yes")
 

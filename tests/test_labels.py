@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from gaugestrata import labels as labels_module
 from gaugestrata.labels import (HoweLabel, LabelError, TransitiveReductionError,
-                                canonicalize, descendants, direct_successors,
+                                canonicalize, covering_relation, descendants,
+                                direct_successors,
                                 dual, enumerate_labels, format_label,
                                 hasse_diagram, leq, merge, parse_label, split)
 
@@ -204,6 +205,10 @@ class TestHasse:
                             lambda j: plain(j) | {top} if j == bottom else plain(j))
         with pytest.raises(TransitiveReductionError, match=r"\(1\|4\)"):
             hasse_diagram(4)
+
+    def test_covering_wrong_total_raises(self):
+        with pytest.raises(LabelError, match=r"\(1\|4\) has total 4, expected 3"):
+            covering_relation(3, [L((1,), (3,)), L((1,), (4,))])
 
     def test_edges_within_nodes(self):
         d = hasse_diagram(5)
