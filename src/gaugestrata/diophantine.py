@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 from .labels import HoweLabel, format_label
 
@@ -28,15 +27,19 @@ BUDGET_ENV_VAR = "STRATA_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
-    """A finite search would exceed the configured iteration budget."""
+    """A finite search would exceed the configured iteration budget.
 
-    def __init__(self, label: HoweLabel, required: int, budget: int):
+    `required` is the size of the search when it is known before the search
+    starts, and None when the search stopped on passing the budget.
+    """
+
+    def __init__(self, label: HoweLabel, required: int | None, budget: int):
         self.label = label
         self.required = required
         self.budget = budget
+        need = "more iterations" if required is None else f"{required} iterations"
         super().__init__(
-            f"search for label {format_label(label)} needs {required} iterations, "
-            f"budget is {budget}")
+            f"search for label {format_label(label)} needs {need}, budget is {budget}")
 
 
 def _resolve_budget(budget: int | None) -> int:
@@ -88,39 +91,24 @@ def d_s2xs2(label: HoweLabel) -> int:
     return math.gcd(d_s4(label), gcd_seq(l_coefficients(label)))
 
 
-@dataclass(frozen=True)
-class SkolemBasis:
-    """Generators of the solution lattice of sum(k_i * a_i) = 0.
+def _kernel_basis(k) -> list[list[int]]:
+    """Basis of the lattice {a in Z^r : sum(k_i * a_i) = 0}, r - 1 vectors.
 
-    `k_unit` holds k_i / gcd(k). For each index pair p < q (0-based) the
-    generator has k_unit[q] at position p, -k_unit[p] at position q, and
-    zeros elsewhere. Integer combinations produce every solution; only for
-    r = 2 is the parametrization one-to-one.
+    Unimodular column operations reduce the row k to (gcd(k), 0, ..., 0)
+    (Cohen, GTM 138, section 2.4); the columns whose entry ends at 0 span
+    the kernel.
     """
-
-    k: tuple[int, ...]
-    k_unit: tuple[int, ...]
-    generators: dict[tuple[int, int], tuple[int, ...]]
-
-
-def skolem_basis(k) -> SkolemBasis:
-    """Generators of the null lattice of the constraint sum(k_i * a_i) = 0."""
-    k = tuple(k)
     r = len(k)
-    if r < 2:
-        raise ValueError(f"need at least two entries, got {r}")
-    if any(ki < 1 for ki in k):
-        raise ValueError(f"entries must be positive, got {k}")
-    g = gcd_seq(k)
-    kt = tuple(ki // g for ki in k)
-    gens = {}
-    for p in range(r):
-        for q in range(p + 1, r):
-            vec = [0] * r
-            vec[p] = kt[q]
-            vec[q] = -kt[p]
-            gens[(p, q)] = tuple(vec)
-    return SkolemBasis(k=k, k_unit=kt, generators=gens)
+    row = list(k)
+    cols = [[int(i == j) for i in range(r)] for j in range(r)]
+    while sum(1 for v in row if v) > 1:
+        piv = min((j for j in range(r) if row[j]), key=lambda j: abs(row[j]))
+        for j in range(r):
+            if j != piv and row[j]:
+                q = row[j] // row[piv]
+                row[j] -= q * row[piv]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[piv])]
+    return [cols[j] for j in range(r) if row[j] == 0]
 
 
 def quad_value(label: HoweLabel, a) -> int:
@@ -138,19 +126,22 @@ def quad_value(label: HoweLabel, a) -> int:
     return twice // 2
 
 
-def _zero_sum_representable(k: tuple[int, ...], target: int) -> bool:
+def _zero_sum_representable(label: HoweLabel, target: int, budget: int) -> bool:
     """Decide whether sum(k_i*a_i) = 0 and sum(k_i*a_i^2) = target have a
     common integer solution, for target > 0.
 
     The first r-2 coordinates range over the box k_i*a_i^2 <= remaining
-    budget; the last two are solved in closed form (a quadratic in b after
+    target; the last two are solved in closed form (a quadratic in b after
     eliminating a via the linear equation), which keeps the search cheap
-    even for large targets.
+    even for large targets. Each loop counts its 2*bound + 1 points against
+    the iteration budget, and BudgetExceededError is raised once the count
+    passes it.
     """
-    r = len(k)
+    k, r = label.k, label.r
     if r == 1:
         return target == 0
     kp, kq = k[-2], k[-1]
+    visited = 0
 
     def last_two(lin_t: int, quad_r: int) -> bool:
         # Solve kp*a + kq*b = lin_t, kp*a^2 + kq*b^2 = quad_r.
@@ -176,9 +167,13 @@ def _zero_sum_representable(k: tuple[int, ...], target: int) -> bool:
         return False
 
     def descend(i: int, lin: int, quad: int) -> bool:
+        nonlocal visited
         if i == r - 2:
             return last_two(-lin, target - quad)
         bound = math.isqrt((target - quad) // k[i])
+        visited += 2 * bound + 1
+        if visited > budget:
+            raise BudgetExceededError(label, None, budget)
         for ai in range(-bound, bound + 1):
             if descend(i + 1, lin + k[i] * ai, quad + k[i] * ai * ai):
                 return True
@@ -192,35 +187,28 @@ def cp2_solvable(label: HoweLabel, c_p: int, budget: int | None = None) -> bool:
 
     With g = gcd(red k), integers b and a are sought with sum(k_i*a_i) = 0
     and g*b + Q(a) = c_p. On the constraint surface Q(a) = -1/2*sum(k_i*a_i^2),
-    so for g = 0 this is a bounded representability search, and for g > 0
-    only the Skolem parameters modulo g matter (Q composed with the
-    parametrization has integer coefficients).
+    so for g = 0 this is a bounded representability search. For g > 0 only
+    a modulo g times the constraint lattice matters, so an exact search
+    over the g^(r-1) coordinates of a on a kernel basis decides it.
 
-    Raises BudgetExceededError when the modular search would exceed the
+    Raises BudgetExceededError when either search would exceed the
     iteration budget (default 10**7, overridable via STRATA_BUDGET).
     """
+    budget = _resolve_budget(budget)
     g = d_s4(label)
-    k = label.k
-    r = label.r
+    k, r = label.k, label.r
     if g == 0:
         # red k empty, i.e. all m_i = 1: b is forced to 0.
-        if c_p > 0:
-            return False
-        if c_p == 0:
-            return True
-        return _zero_sum_representable(k, -2 * c_p)
-    npairs = r * (r - 1) // 2
-    required = g ** npairs
-    budget = _resolve_budget(budget)
+        return c_p == 0 or (c_p < 0 and _zero_sum_representable(label, -2 * c_p, budget))
+    required = g ** (r - 1)
     if required > budget:
         raise BudgetExceededError(label, required, budget)
-    if npairs == 0:
-        return c_p % g == 0
-    gens = list(skolem_basis(k).generators.values())
-    for t in itertools.product(range(g), repeat=npairs):
-        a = [sum(ti * gen[i] for ti, gen in zip(t, gens)) for i in range(r)]
-        ssq = sum(ki * ai * ai for ki, ai in zip(k, a))
-        if (c_p + ssq // 2) % g == 0:
+    if c_p % g == 0:  # the first point of the search, a = 0
+        return True
+    basis = _kernel_basis(k)
+    for t in itertools.product(range(g), repeat=r - 1):
+        a = [sum(ti * v[i] for ti, v in zip(t, basis)) for i in range(r)]
+        if (c_p + sum(ki * ai * ai for ki, ai in zip(k, a)) // 2) % g == 0:
             return True
     return False
 

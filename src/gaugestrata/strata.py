@@ -63,27 +63,26 @@ def _divides(d: int, c: int) -> bool:
     return c == 0 if d == 0 else c % d == 0
 
 
-# Manifold -> (criterion name, presence test of label, d_S4, d_S2xS2, c2, budget).
-# The CP^2 test looks dio.cp2_solvable up at call time, so a rebound module
-# attribute (a tracer's wrapper, say) is the one that runs.
-_CRITERIA = {
-    Manifold.S4: ("linear-gcd", lambda j, ds4, ds2, c2, budget: _divides(ds4, c2)),
-    Manifold.S2XS2: ("bilinear-gcd", lambda j, ds4, ds2, c2, budget: _divides(ds2, c2)),
-    Manifold.T4: ("bilinear-gcd", lambda j, ds4, ds2, c2, budget: _divides(ds2, c2)),
-    Manifold.CP2: ("quadratic-oracle",
-                   lambda j, ds4, ds2, c2, budget: dio.cp2_solvable(j, c2, budget=budget)),
-    Manifold.DIM2: ("dim<4-trivial", lambda *_: True),
-    Manifold.DIM3: ("dim<4-trivial", lambda *_: True),
-}
+_CRITERIA = {Manifold.S4: "linear-gcd", Manifold.S2XS2: "bilinear-gcd",
+             Manifold.T4: "bilinear-gcd", Manifold.CP2: "quadratic-oracle",
+             Manifold.DIM2: "dim<4-trivial", Manifold.DIM3: "dim<4-trivial"}
 
 
 def annotate(label: HoweLabel, manifold: Manifold, c2: int,
              budget: int | None = None) -> StratumAnnotation:
     """Presence verdict plus divisor data for a single label."""
     ds4, ds2 = dio.d_s4(label), dio.d_s2xs2(label)
-    criterion, present = _CRITERIA[manifold]
-    return StratumAnnotation(label=label, d_s4=ds4, d_s2xs2=ds2,
-                             present=present(label, ds4, ds2, c2, budget),
+    criterion = _CRITERIA[manifold]
+    # One presence test per criterion, each closing over what it decides on.
+    # The CP^2 test looks dio.cp2_solvable up at call time, so a rebound
+    # module attribute (a tracer's wrapper, say) is the one that runs.
+    present = {
+        "linear-gcd": lambda: _divides(ds4, c2),
+        "bilinear-gcd": lambda: _divides(ds2, c2),
+        "quadratic-oracle": lambda: dio.cp2_solvable(label, c2, budget=budget),
+        "dim<4-trivial": lambda: True,
+    }[criterion]
+    return StratumAnnotation(label=label, d_s4=ds4, d_s2xs2=ds2, present=present(),
                              criterion=criterion)
 
 

@@ -4,13 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
+import itertools
 import math
 import random
 import time
 
 from gaugestrata.cli import main
-from gaugestrata.diophantine import (cp2_solvable, d_s2xs2, d_s4,
-                                     jones_solvable, quad_value, skolem_basis)
+from gaugestrata.diophantine import (cp2_solvable, d_s2xs2, d_s4, gcd_seq,
+                                     jones_solvable, quad_value)
 from gaugestrata.labels import (canonicalize, direct_successors, dual,
                                 enumerate_labels, hasse_diagram, parse_label)
 from gaugestrata.strata import BundleSpec, Manifold, orbit_types
@@ -153,7 +154,13 @@ def test_criterion_6_property_suite():
             if j.r == 1:
                 vectors = [(0,)] * 200
             else:
-                gens = list(skolem_basis(j.k).generators.values())
+                # kt_q*e_p - kt_p*e_q for p < q, with kt = k / gcd(k)
+                g = gcd_seq(j.k)
+                gens = []
+                for p, q in itertools.combinations(range(j.r), 2):
+                    gen = [0] * j.r
+                    gen[p], gen[q] = j.k[q] // g, -j.k[p] // g
+                    gens.append(gen)
                 vectors = []
                 for _ in range(200):
                     t = [rng.randint(-5, 5) for _ in gens]

@@ -153,6 +153,11 @@ class TestStrata:
         assert code == 3
         assert "(2 2|2 2)" in err
 
+    def test_cp2_n11_default_budget(self, capsys):
+        code, out, _ = run(capsys, "strata", "--n", "11", "--manifold", "cp2", "--c2", "-5")
+        assert code == 0
+        assert "(2 1 1 1 1 1 1 1|2 1 1 1 1 1 1 1)" in out
+
     @pytest.mark.parametrize("budget,argv", [
         pytest.param(budget, argv, id=f"{budget}-{name}" if name else budget)
         for name, argv in BUDGET_ARGVS.items() for budget in ["0", "-5", "abc", "1e3"]])

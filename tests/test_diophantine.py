@@ -1,15 +1,16 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaugestrata.diophantine import (BudgetExceededError, cp2_solvable,
-                                     d_s2xs2, d_s4, gcd_seq, jones_solvable,
-                                     l_coefficients, quad_value, reduced_k,
-                                     skolem_basis)
+from gaugestrata.diophantine import (BudgetExceededError, _kernel_basis,
+                                     cp2_solvable, d_s2xs2, d_s4, gcd_seq,
+                                     jones_solvable, l_coefficients, quad_value,
+                                     reduced_k)
 from gaugestrata.labels import canonicalize, enumerate_labels
 
 
@@ -25,11 +26,23 @@ def quad_brute(k, a):
     return twice // 2
 
 
+def pairwise_generators(k):
+    """kt_q*e_p - kt_p*e_q for each p < q, with kt = k / gcd(k): integer
+    combinations of these give every solution of sum(k_i * a_i) = 0."""
+    g = gcd_seq(k)
+    gens = []
+    for p, q in itertools.combinations(range(len(k)), 2):
+        vec = [0] * len(k)
+        vec[p], vec[q] = k[q] // g, -k[p] // g
+        gens.append(vec)
+    return gens
+
+
 def constrained_vectors(label, count, rng, coeff_bound=5):
     """Random integer solutions of sum(k_i * a_i) = 0."""
     if label.r == 1:
         return [(0,)] * count
-    gens = list(skolem_basis(label.k).generators.values())
+    gens = pairwise_generators(label.k)
     out = []
     for _ in range(count):
         t = [rng.randint(-coeff_bound, coeff_bound) for _ in gens]
@@ -100,39 +113,56 @@ class TestDS2xS2:
             assert ds4 == 0 if ds2 == 0 else ds4 % ds2 == 0
 
 
-class TestSkolem:
+def lattice_coordinates(basis, targets):
+    """Rational coordinates of each target on the basis vectors, or None
+    when the vectors are dependent or a target is not in their span
+    (Gauss-Jordan over Q, all targets at once)."""
+    m = len(basis)
+    rows = [[Fraction(v[i]) for v in basis] + [Fraction(w[i]) for w in targets]
+            for i in range(len(targets[0]))]
+    for col in range(m):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[col])]
+    if any(x for row in rows[m:] for x in row[m:]):
+        return None
+    return [[row[m + t] for row in rows[:m]] for t in range(len(targets))]
+
+
+class TestKernelBasis:
     def test_two_entries(self):
-        basis = skolem_basis((2, 1))
-        assert basis.generators == {(0, 1): (1, -2)}
+        basis = _kernel_basis((2, 1))
+        assert len(basis) == 1 and basis[0] in ([1, -2], [-1, 2])
 
-    def test_unit_triple(self):
-        basis = skolem_basis((1, 1, 1))
-        assert set(basis.generators.values()) == {(1, -1, 0), (1, 0, -1), (0, 1, -1)}
+    def test_single_entry_has_empty_basis(self):
+        assert _kernel_basis((5,)) == []
 
-    def test_rejects_single_entry(self):
-        with pytest.raises(ValueError):
-            skolem_basis((5,))
-
-    @given(st.lists(st.integers(1, 9), min_size=2, max_size=5))
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=7))
     @settings(max_examples=100, deadline=None)
-    def test_generators_satisfy_constraint(self, k):
-        for vec in skolem_basis(k).generators.values():
+    def test_basis_of_kernel_lattice(self, k):
+        basis = _kernel_basis(k)
+        assert len(basis) == len(k) - 1
+        for vec in basis:
             assert sum(ki * vi for ki, vi in zip(k, vec)) == 0
+        # The basis spans the whole lattice: every pairwise generator is an
+        # integer combination of it (a basis of a proper sublattice fails).
+        if len(k) > 1:
+            coords = lattice_coordinates(basis, pairwise_generators(k))
+            assert coords is not None, k
+            assert all(c.denominator == 1 for cs in coords for c in cs), (k, coords)
 
-    @pytest.mark.parametrize("k", [(1, 1), (2, 1), (3, 2), (1, 1, 1), (2, 1, 1), (3, 2, 2)])
-    def test_completeness_small(self, k):
-        # Every bounded solution of the constraint is an integer combination
-        # of the generators (checked by bounded search over coefficients).
-        gens = list(skolem_basis(k).generators.values())
-        r = len(k)
-        bound = 6
-        for a in itertools.product(range(-bound, bound + 1), repeat=r):
-            if sum(ki * ai for ki, ai in zip(k, a)) != 0:
-                continue
-            hit = any(
-                tuple(sum(ti * g[i] for ti, g in zip(t, gens)) for i in range(r)) == a
-                for t in itertools.product(range(-15, 16), repeat=len(gens)))
-            assert hit, f"solution {a} not generated for k={k}"
+    def test_doubled_vector_spans_sublattice(self):
+        # The span check above rejects a basis of an index-2 sublattice.
+        k = (3, 2, 2)
+        basis = _kernel_basis(k)
+        basis[0] = [2 * x for x in basis[0]]
+        coords = lattice_coordinates(basis, pairwise_generators(k))
+        assert any(c.denominator != 1 for cs in coords for c in cs)
 
 
 class TestQuadValue:
@@ -177,6 +207,18 @@ def cp2_brute(label, c_p, box):
         if sum(ki * ai for ki, ai in zip(label.k, a)) != 0:
             continue
         if quad_brute(label.k, a) == c_p:
+            return True
+    return False
+
+
+def cp2_pairwise(label, c_p):
+    """The modular search for g > 0 over Z_g^(r(r-1)/2), one coordinate per
+    pairwise generator."""
+    g, k, r = d_s4(label), label.k, label.r
+    gens = pairwise_generators(k)
+    for t in itertools.product(range(g), repeat=len(gens)):
+        a = [sum(ti * gen[i] for ti, gen in zip(t, gens)) for i in range(r)]
+        if (c_p + sum(ki * ai * ai for ki, ai in zip(k, a)) // 2) % g == 0:
             return True
     return False
 
@@ -240,15 +282,52 @@ class TestCP2Solvable:
             for c in range(-12, 1):
                 assert cp2_solvable(j, c) == cp2_brute(j, c, box=5)
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_pairwise_search(self, n):
+        # The g^(r-1) search on a kernel basis gives the verdicts of the
+        # g^(r(r-1)/2) search over all pairwise generators.
+        for j in enumerate_labels(n):
+            if d_s4(j) == 0:
+                continue
+            for c in range(-20, 13):
+                assert cp2_solvable(j, c) == cp2_pairwise(j, c), (j, c)
+
+    def test_n11_label_answers_with_witnesses(self):
+        # 2^28 pairwise points, 2^7 kernel coordinates.
+        j = L((2,) + (1,) * 7, (2,) + (1,) * 7)
+        g = d_s4(j)
+        witness = {}
+        for a in itertools.product(range(-1, 2), repeat=j.r):
+            if sum(ki * ai for ki, ai in zip(j.k, a)) == 0:
+                ssq = sum(ki * ai * ai for ki, ai in zip(j.k, a))
+                witness.setdefault(ssq // 2 % g, a)
+        for c in range(-12, 13):
+            if cp2_solvable(j, c):
+                a = witness[-c % g]
+                assert (c + sum(ki * ai * ai for ki, ai in zip(j.k, a)) // 2) % g == 0
+
     def test_budget_exceeded(self):
         j = L((30, 30, 30, 30), (2, 2, 2, 2))
         with pytest.raises(BudgetExceededError) as err:
             cp2_solvable(j, 5, budget=10)
         assert "(30 30 30 30|2 2 2 2)" in str(err.value)
+        assert err.value.required == 30**3
+
+    def test_box_search_budget(self):
+        j = L((1, 1, 1, 1), (1, 1, 1, 1))  # g = 0
+        with pytest.raises(BudgetExceededError) as err:
+            cp2_solvable(j, -200, budget=10)
+        assert err.value.required is None
+        assert str(err.value) == ("search for label (1 1 1 1|1 1 1 1) needs more "
+                                  "iterations, budget is 10")
+        assert cp2_solvable(j, -200)
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            cp2_solvable(L((2, 2), (2, 2)), 4, budget=0)
+        # A modular search, a box search (d_S4 = 0) and r = 1 alike.
+        for j, c in ((L((2, 2), (2, 2)), 4), (L((1, 1), (1, 1)), -3), (L((2,), (2,)), 4)):
+            for budget in (0, "abc"):
+                with pytest.raises(ValueError, match="positive integer"):
+                    cp2_solvable(j, c, budget=budget)
 
     def test_budget_env_override(self, monkeypatch):
         j = L((2, 2), (2, 2))  # needs 2 iterations
