@@ -8,8 +8,9 @@ question:
 * S^2 x S^2 and T^4: a bilinear equation, controlled by the gcd of the
   form's coefficients together with gcd(red k).
 * CP^2: a quadratic form subject to a linear constraint; decided here by
-  an exact finite search, with a closed-form cross-check for the maximal
-  torus case.
+  an exact modular search on a kernel basis when gcd(red k) > 0, and by a
+  search over merged (linear sum, square sum) states when gcd(red k) = 0,
+  with a closed-form cross-check for the maximal torus case.
 
 All arithmetic is exact (Python integers).
 """
@@ -130,12 +131,13 @@ def _zero_sum_representable(label: HoweLabel, target: int, budget: int) -> bool:
     """Decide whether sum(k_i*a_i) = 0 and sum(k_i*a_i^2) = target have a
     common integer solution, for target > 0.
 
-    The first r-2 coordinates range over the box k_i*a_i^2 <= remaining
-    target; the last two are solved in closed form (a quadratic in b after
-    eliminating a via the linear equation), which keeps the search cheap
-    even for large targets. Each loop counts its 2*bound + 1 points against
-    the iteration budget, and BudgetExceededError is raised once the count
-    passes it.
+    Prefixes of a with equal |sum k_i*a_i| and equal sum k_i*a_i^2 complete
+    alike, so the first r-2 coordinates keep one dict from |sum k_i*a_i| to
+    an int bitmask of the square sums reached, dropping those Cauchy-Schwarz
+    rules out. The last two are solved in closed form (a quadratic in b after
+    eliminating a via the linear equation), once per set bit. Every
+    (state, a_i) step and every closed-form solve counts against the budget,
+    and BudgetExceededError is raised once the count passes it.
     """
     k, r = label.k, label.r
     if r == 1:
@@ -166,20 +168,35 @@ def _zero_sum_representable(label: HoweLabel, target: int, budget: int) -> bool:
                 return True
         return False
 
-    def descend(i: int, lin: int, quad: int) -> bool:
-        nonlocal visited
-        if i == r - 2:
-            return last_two(-lin, target - quad)
-        bound = math.isqrt((target - quad) // k[i])
-        visited += 2 * bound + 1
-        if visited > budget:
-            raise BudgetExceededError(label, None, budget)
-        for ai in range(-bound, bound + 1):
-            if descend(i + 1, lin + k[i] * ai, quad + k[i] * ai * ai):
+    states = {0: 1}
+    rest = sum(k)
+    for ki in k[:-2]:
+        rest -= ki
+        merged: dict[int, int] = {}
+        for lin, quads in states.items():
+            least, most = (quads & -quads).bit_length() - 1, quads.bit_length() - 1
+            bound = math.isqrt((target - least) // ki)
+            visited += 2 * bound + 1
+            if visited > budget:
+                raise BudgetExceededError(label, None, budget)
+            for ai in range(-bound, bound + 1):
+                new, step = abs(lin + ki * ai), ki * ai * ai
+                # Largest prefix square sum that leaves ceil(new^2 / rest) for the rest.
+                room = target + (-new * new // rest) - step
+                if room >= least:
+                    kept = quads if room >= most else quads & ((2 << room) - 1)
+                    merged[new] = merged.get(new, 0) | kept << step
+        states = merged
+    for lin, quads in states.items():
+        while quads:
+            visited += 1
+            if visited > budget:
+                raise BudgetExceededError(label, None, budget)
+            low = quads & -quads
+            if last_two(-lin, target - low.bit_length() + 1):
                 return True
-        return False
-
-    return descend(0, 0, 0)
+            quads ^= low
+    return False
 
 
 def cp2_solvable(label: HoweLabel, c_p: int, budget: int | None = None) -> bool:
@@ -187,12 +204,15 @@ def cp2_solvable(label: HoweLabel, c_p: int, budget: int | None = None) -> bool:
 
     With g = gcd(red k), integers b and a are sought with sum(k_i*a_i) = 0
     and g*b + Q(a) = c_p. On the constraint surface Q(a) = -1/2*sum(k_i*a_i^2),
-    so for g = 0 this is a bounded representability search. For g > 0 only
+    so for g = 0 (b = 0) a search over merged prefix states decides whether
+    the lattice holds a with sum(k_i*a_i^2) = -2*c_p. For g > 0 only
     a modulo g times the constraint lattice matters, so an exact search
     over the g^(r-1) coordinates of a on a kernel basis decides it.
 
     Raises BudgetExceededError when either search would exceed the
-    iteration budget (default 10**7, overridable via STRATA_BUDGET).
+    iteration budget (default 10**7, overridable via STRATA_BUDGET): the
+    modular search before it starts, the g = 0 search once its count of
+    state steps and closed-form solves passes it.
     """
     budget = _resolve_budget(budget)
     g = d_s4(label)

@@ -158,6 +158,11 @@ class TestStrata:
         assert code == 0
         assert "(2 1 1 1 1 1 1 1|2 1 1 1 1 1 1 1)" in out
 
+    def test_cp2_n12_g0_default_budget(self, capsys):
+        code, out, _ = run(capsys, "strata", "--n", "12", "--manifold", "cp2", "--c2", "-200")
+        assert code == 0
+        assert "(1 1 1 1 1 1 1 1 1 1 1 1|1 1 1 1 1 1 1 1 1 1 1 1)" in out
+
     @pytest.mark.parametrize("budget,argv", [
         pytest.param(budget, argv, id=f"{budget}-{name}" if name else budget)
         for name, argv in BUDGET_ARGVS.items() for budget in ["0", "-5", "abc", "1e3"]])

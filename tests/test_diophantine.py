@@ -223,6 +223,50 @@ def cp2_pairwise(label, c_p):
     return False
 
 
+def zero_sum_box(label, target):
+    """The g = 0 box search that the state merge replaced, without its
+    budget: the first r-2 coordinates range over the box
+    k_i*a_i^2 <= remaining target, the last two are solved in closed form."""
+    k, r = label.k, label.r
+    if r == 1:
+        return target == 0
+    kp, kq = k[-2], k[-1]
+
+    def last_two(lin_t, quad_r):
+        # Solve kp*a + kq*b = lin_t, kp*a^2 + kq*b^2 = quad_r.
+        if quad_r < 0:
+            return False
+        disc = 4 * kp * kq * (quad_r * (kp + kq) - lin_t * lin_t)
+        if disc < 0:
+            return False
+        root = math.isqrt(disc)
+        if root * root != disc:
+            return False
+        den = 2 * kq * (kq + kp)
+        for num in (2 * lin_t * kq + root, 2 * lin_t * kq - root):
+            if num % den:
+                continue
+            b = num // den
+            rem = lin_t - kq * b
+            if rem % kp:
+                continue
+            a = rem // kp
+            if kp * a + kq * b == lin_t and kp * a * a + kq * b * b == quad_r:
+                return True
+        return False
+
+    def descend(i, lin, quad):
+        if i == r - 2:
+            return last_two(-lin, target - quad)
+        bound = math.isqrt((target - quad) // k[i])
+        for ai in range(-bound, bound + 1):
+            if descend(i + 1, lin + k[i] * ai, quad + k[i] * ai * ai):
+                return True
+        return False
+
+    return descend(0, 0, 0)
+
+
 class TestCP2Solvable:
     def test_n2_squares(self):
         j = L((1, 1), (1, 1))
@@ -282,6 +326,27 @@ class TestCP2Solvable:
             for c in range(-12, 1):
                 assert cp2_solvable(j, c) == cp2_brute(j, c, box=5)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_box_search_g0(self, n):
+        # Merging prefixes with equal (|linear sum|, square sum) gives the
+        # verdicts of the box search over every prefix.
+        for j in enumerate_labels(n):
+            if d_s4(j) != 0:
+                continue
+            for c in range(-80, 0):
+                assert cp2_solvable(j, c) == zero_sum_box(j, -2 * c), (j, c)
+
+    def test_g0_n16_large_c2_default_budget(self):
+        assert cp2_solvable(L((1,) * 16, (1,) * 16), -1000)
+
+    def test_g0_budget_counts_steps_and_solves(self):
+        # target 10: 7 steps for a_1 in [-3, 3], then one closed-form solve
+        # for each of |a_1| = 0, 1, 2 (|a_1| = 3 leaves no room); none succeeds.
+        j = L((1, 1, 1), (1, 1, 1))
+        with pytest.raises(BudgetExceededError):
+            cp2_solvable(j, -5, budget=9)
+        assert not cp2_solvable(j, -5, budget=10)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_pairwise_search(self, n):
         # The g^(r-1) search on a kernel basis gives the verdicts of the
@@ -323,7 +388,7 @@ class TestCP2Solvable:
         assert cp2_solvable(j, -200)
 
     def test_budget_must_be_positive(self):
-        # A modular search, a box search (d_S4 = 0) and r = 1 alike.
+        # A modular search, the g = 0 search (d_S4 = 0) and r = 1 alike.
         for j, c in ((L((2, 2), (2, 2)), 4), (L((1, 1), (1, 1)), -3), (L((2,), (2,)), 4)):
             for budget in (0, "abc"):
                 with pytest.raises(ValueError, match="positive integer"):
